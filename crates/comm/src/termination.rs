@@ -155,14 +155,6 @@ impl Quiescence {
     /// cut with all ranks drained reads as termination while a cut forced by
     /// a checkpoint threshold reads as a checkpointable barrier with the
     /// frontier parked in local heaps.
-    fn verdict(terminated: bool) -> CutVerdict {
-        if terminated {
-            CutVerdict::Terminate
-        } else {
-            CutVerdict::Cut
-        }
-    }
-
     pub fn poll_cut(&mut self, sent: u64, recv: u64, ready: bool, flag: bool) -> Option<bool> {
         match self.poll_cut_watched(sent, recv, ready, flag) {
             None => None,
@@ -172,6 +164,14 @@ impl Quiescence {
                 "stall watchdog fired but the caller polls through poll_cut; \
                  armed detectors must be driven via poll_cut_watched"
             ),
+        }
+    }
+
+    fn verdict(terminated: bool) -> CutVerdict {
+        if terminated {
+            CutVerdict::Terminate
+        } else {
+            CutVerdict::Cut
         }
     }
 

@@ -228,10 +228,7 @@ pub fn bfs(ctx: &RankCtx, g: &DistGraph, source: VertexId, cfg: &BfsConfig) -> B
     if g.is_master(source) {
         q.push(BfsVisitor { vertex: source, length: 0, parent: source.0 });
     }
-    match &cfg.checkpoint {
-        Some(spec) => q.do_traversal_checkpointed(ctx, spec),
-        None => q.do_traversal(),
-    }
+    q.do_traversal_checkpointed(ctx, cfg.checkpoint.as_ref());
     finish_result(ctx, g, q)
 }
 

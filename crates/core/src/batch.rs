@@ -398,7 +398,7 @@ pub struct BatchConfig {
 
 impl BatchConfig {
     pub fn with_threads(mut self, threads: usize) -> Self {
-        self.traversal.threads = threads;
+        self.traversal = self.traversal.with_threads(threads);
         self
     }
 
@@ -486,10 +486,7 @@ pub fn bfs_batch<const K: usize>(
             });
         }
     }
-    match &cfg.checkpoint {
-        Some(spec) => q.do_traversal_checkpointed(ctx, spec),
-        None => q.do_traversal(),
-    }
+    q.do_traversal_checkpointed(ctx, cfg.checkpoint.as_ref());
 
     // per-query aggregates over masters only (replica state is a copy)
     let mut visited = vec![0u64; sources.len()];
@@ -657,10 +654,7 @@ pub fn reach_batch(
             q.push(BatchReachVisitor { vertex: s, mask: 1u64 << qi });
         }
     }
-    match &cfg.checkpoint {
-        Some(spec) => q.do_traversal_checkpointed(ctx, spec),
-        None => q.do_traversal(),
-    }
+    q.do_traversal_checkpointed(ctx, cfg.checkpoint.as_ref());
 
     let mut counts = vec![0u64; sources.len()];
     for v in g.local_vertices() {
@@ -1278,6 +1272,7 @@ mod tests {
         use havoq_graph::dist::PartitionStrategy;
         use havoq_graph::gen::rmat::RmatGenerator;
 
+        assert_eq!(BatchConfig::default().with_threads(0).traversal.threads, 1, "clamped to >= 1");
         let gen = RmatGenerator::graph500(7);
         let edges = gen.symmetric_edges(11);
         let sources = [VertexId(0), VertexId(1), VertexId(2)];

@@ -1,14 +1,14 @@
 //! Checkpointing a traversal: the per-rank state blob and its wire format.
 //!
-//! At a checkpoint cut (see `VisitorQueue::do_traversal_checkpointed`) each
-//! rank freezes four things — the per-vertex algorithm state, the ghost
-//! table contents, the parked visitor heap, and the mailbox's wire
-//! sequence-number table — plus the queue's high-water counters, and
-//! serializes them through the same [`WireCodec`] impls that put visitors
-//! on the wire. The resulting blob goes to a
-//! [`havoq_nvram::checkpoint::CheckpointStore`], which frames it with an
-//! epoch header and commit marker; this module owns only the payload
-//! layout:
+//! At a checkpoint cut (the queue loop's checkpoint-every-k cut policy,
+//! `VisitorQueue::do_traversal_checkpointed`) each rank freezes four
+//! things — the per-vertex algorithm state, the ghost table contents, the
+//! parked visitor heap, and the mailbox's wire sequence-number table —
+//! plus the queue's high-water counters, and serializes them through the
+//! same [`WireCodec`] impls that put visitors on the wire. The resulting
+//! blob goes to a [`havoq_nvram::checkpoint::CheckpointStore`], which
+//! frames it with an epoch header and commit marker; this module owns
+//! only the payload layout:
 //!
 //! ```text
 //! [ state count u64    | count × V::Data ]

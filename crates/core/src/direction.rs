@@ -338,9 +338,8 @@ pub fn direction_bfs(ctx: &RankCtx, g: &DistGraph, source: VertexId, cfg: &BfsCo
     if g.is_master(source) {
         q.push(DirBfsVisitor { vertex: source, length: 0, parent: source.0 });
     }
-    let mut scratch: Vec<DirBfsVisitor> = Vec::new();
     let mut newly: Vec<DirBfsVisitor> = Vec::new();
-    q.drain_round(&mut scratch, &mut newly);
+    q.drain_round(&mut newly, None);
     fold_frontier(g, &frontier, &visited, &mut newly);
 
     loop {
@@ -487,7 +486,7 @@ pub fn direction_bfs(ctx: &RankCtx, g: &DistGraph, source: VertexId, cfg: &BfsCo
 
         // -- deliver the round; survivors are the next frontier --
         newly.clear();
-        q.drain_round(&mut scratch, &mut newly);
+        q.drain_round(&mut newly, None);
         level += 1;
         fold_frontier(g, &frontier, &visited, &mut newly);
     }
@@ -655,7 +654,7 @@ fn generate_parallel(
     for ledger in ledgers.iter_mut() {
         inspected += ledger.inspected;
         pushed += ledger.pushed;
-        q.absorb_generated(&mut ledger.shard, ledger.pushed);
+        q.absorb_shard(&mut ledger.shard, ledger.pushed);
         ledger.inspected = 0;
         ledger.pushed = 0;
     }

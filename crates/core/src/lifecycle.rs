@@ -18,7 +18,7 @@
 //! global totals on every rank. Deadlines are round/edge budgets checked
 //! against those all-reduced values — never wall clocks. Cancels ride
 //! their own CRC-framed mailbox whose payload counters are summed into
-//! the quiescence poll ([`VisitorQueue::drain_round_side`]), so a cut
+//! the quiescence poll ([`VisitorQueue::drain_round`]), so a cut
 //! cannot confirm while a cancel is in flight. The stall watchdog is the
 //! one exception — it exists precisely for the case where no further cut
 //! will ever confirm — and it is made world-agreed by the detector
@@ -248,7 +248,7 @@ fn execute_round<const K: usize>(
                 }
             }
             let claimed = shard.claimed;
-            q.absorb_generated(&mut shard.shard, shard.pushed);
+            q.absorb_shard(&mut shard.shard, shard.pushed);
             claimed
         }
         Some(pool) => {
@@ -287,7 +287,7 @@ fn execute_round<const K: usize>(
             let mut claimed = 0u64;
             for shard in shards.iter_mut() {
                 claimed |= shard.claimed;
-                q.absorb_generated(&mut shard.shard, shard.pushed);
+                q.absorb_shard(&mut shard.shard, shard.pushed);
                 shard.pushed = 0;
                 shard.claimed = 0;
             }
@@ -356,13 +356,12 @@ pub fn bfs_batch_lifecycle<const K: usize>(
     let mut outcomes: Vec<Option<QueryOutcome>> = vec![None; width];
     let mut rounds: u64 = 0;
     let mut aborted = false;
-    let mut scratch: Vec<BatchBfsVisitor<K>> = Vec::new();
     let mut newly: Vec<BatchBfsVisitor<K>> = Vec::new();
     let mut cancels_in: Vec<CancelRecord> = Vec::new();
 
     // Round 0 delivery: the seeds merge into per-vertex state and land in
     // `newly` as the depth-0 frontier.
-    let mut verdict = q.drain_round_side(&mut scratch, &mut newly, &mut cancel_mb, &mut cancels_in);
+    let mut verdict = q.drain_round(&mut newly, Some(&mut (&mut cancel_mb, &mut cancels_in)));
     // Phase fence: a rank that confirms the seed cut must not inject round-1
     // traffic (cancel records, depth-1 visitors) while a peer still polls
     // that cut — the straggler would absorb next-round traffic into its seed
@@ -441,7 +440,7 @@ pub fn bfs_batch_lifecycle<const K: usize>(
         let retired = ledger.retired_mask();
         let claimed_local = execute_round(&mut q, g, pool.as_ref(), &locks, &newly, retired);
         newly.clear();
-        verdict = q.drain_round_side(&mut scratch, &mut newly, &mut cancel_mb, &mut cancels_in);
+        verdict = q.drain_round(&mut newly, Some(&mut (&mut cancel_mb, &mut cancels_in)));
         rounds += 1;
         if verdict == CutVerdict::Abort {
             continue;

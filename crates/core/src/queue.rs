@@ -12,6 +12,13 @@
 //!   execute locally queued visitors in priority order, and terminate when
 //!   the quiescence detector confirms the queue is globally empty.
 //!
+//! Every traversal mode runs this one loop. An *executor* runs the popped
+//! visitors: inline on the rank's thread (the serial loop), on a worker
+//! pool (`threads > 1`, DESIGN.md §11), or parked for a round engine. A
+//! *cut policy* decides when to vote for a quiescence cut and what a cut
+//! means: termination, a checkpoint every k visitors (§9), or the end of
+//! a level-synchronous round (§13, §15).
+//!
 //! Visitors with equal algorithm priority are ordered by vertex id, the
 //! Section V-A locality optimization that makes semi-external adjacency
 //! reads page-sequential.
@@ -48,11 +55,12 @@ pub struct TraversalConfig {
     /// semi-external adjacency reads across pages.
     pub locality_order: bool,
     /// Worker threads executing `visit` inside this rank. `1` (the
-    /// default) keeps the historical fully serial loop, bit for bit. With
-    /// `threads > 1` each rank pops frontier chunks from its heap and fans
-    /// the `visit` calls out to a worker pool (DESIGN.md §11); the
-    /// mailbox, quiescence and checkpoint paths stay on the coordinator
-    /// thread, so the wire format and integrity counters are unchanged.
+    /// default) runs the queue loop's inline executor: every `visit` on the
+    /// rank's own thread. With `threads > 1` the same loop pops frontier
+    /// chunks from its heap and fans the `visit` calls out to a worker pool
+    /// (DESIGN.md §11); the mailbox, quiescence and checkpoint paths stay
+    /// on the coordinator thread, so the wire format and integrity counters
+    /// are unchanged.
     pub threads: usize,
     /// Direction-optimizing traversal knobs (BFS only): forced or
     /// heuristic top-down/bottom-up switching with Beamer-style
@@ -254,6 +262,8 @@ pub struct VisitorQueue<'g, V: Visitor + WireCodec> {
     /// Wire decode context, kept so checkpointed heap visitors can be
     /// reconstructed on restore.
     decode_ctx: V::DecodeCtx,
+    /// Mailbox poll buffer, reused across polls.
+    inbox: Vec<V>,
 }
 
 impl<'g, V: Visitor + WireCodec> VisitorQueue<'g, V> {
@@ -297,6 +307,7 @@ impl<'g, V: Visitor + WireCodec> VisitorQueue<'g, V> {
             stats: TraversalStats::default(),
             arrival_seq: 0,
             decode_ctx,
+            inbox: Vec::new(),
         }
     }
 
@@ -374,16 +385,17 @@ impl<'g, V: Visitor + WireCodec> VisitorQueue<'g, V> {
 
     /// Push a visitor into the distributed queue (Algorithm 1, `push`).
     pub fn push(&mut self, visitor: V) {
-        push_impl(self.g, &mut self.mailbox, &mut self.ghosts, &mut self.stats, visitor);
+        let Self { g, mailbox, ghosts, stats, .. } = self;
+        Pusher { g, mailbox, ghosts, stats }.push(visitor);
     }
 
     /// Receive and pre-visit incoming visitors; returns payloads delivered
     /// (Algorithm 1, `check_mailbox`).
-    fn check_mailbox(&mut self, scratch: &mut Vec<V>) -> usize {
-        scratch.clear();
-        self.mailbox.poll(scratch);
-        let delivered = scratch.len();
-        for visitor in scratch.drain(..) {
+    fn check_mailbox(&mut self) -> usize {
+        let mut inbox = std::mem::take(&mut self.inbox);
+        self.mailbox.poll(&mut inbox);
+        let delivered = inbox.len();
+        for visitor in inbox.drain(..) {
             let v = visitor.vertex();
             debug_assert!(
                 self.g.is_local(v),
@@ -408,102 +420,133 @@ impl<'g, V: Visitor + WireCodec> VisitorQueue<'g, V> {
                 self.heap.push(HeapEntry(visitor, tiebreak));
             }
         }
+        self.inbox = inbox;
         delivered
     }
 
     /// Run the asynchronous traversal to completion (Algorithm 1,
     /// `do_traversal`). Initial visitors must already have been pushed.
     pub fn do_traversal(&mut self) {
-        if self.cfg.threads > 1 {
-            self.do_traversal_parallel();
-            return;
-        }
         let start = Instant::now();
-        let mut scratch: Vec<V> = Vec::new();
-        loop {
-            let delivered = self.check_mailbox(&mut scratch);
-            let mut budget = self.cfg.poll_batch;
-            while budget > 0 {
-                let Some(HeapEntry(vis, _)) = self.heap.pop() else { break };
-                budget -= 1;
-                self.stats.visitors_executed += 1;
-                let li = self.g.local_index(vis.vertex());
-                // split borrows: vertex state vs. push path
-                let Self { g, mailbox, ghosts, state, stats, .. } = self;
-                let mut pusher = Pusher { g, mailbox, ghosts, stats };
-                vis.visit(g, &mut state[li], &mut pusher);
-            }
-            if delivered == 0 && self.heap.is_empty() {
-                self.mailbox.flush();
-                let idle = self.mailbox.pending_out() == 0;
-                if self.quiescence.poll(
-                    self.mailbox.sent_count(),
-                    self.mailbox.received_count(),
-                    idle,
-                ) {
-                    break;
-                }
-                // idle but not terminated: give peer ranks the core instead
-                // of spin-polling (matters when ranks are oversubscribed
-                // onto few physical cores, as in the simulation)
-                std::thread::yield_now();
-            }
-        }
+        self.drive(&mut self.executor(), CutPolicy::Terminate, None);
         self.stats.elapsed += start.elapsed();
     }
 
-    /// Multi-threaded `do_traversal` body (`cfg.threads > 1`): pop frontier
-    /// chunks from the heap and execute their `visit` calls on the worker
-    /// pool, keeping every mailbox/quiescence interaction on this
-    /// (coordinator) thread. See DESIGN.md §11 for the execution protocol.
-    fn do_traversal_parallel(&mut self) {
-        let start = Instant::now();
+    /// The executor `cfg.threads` selects for one traversal: inline at 1,
+    /// a worker pool above (DESIGN.md §11).
+    fn executor(&self) -> Exec<'static, V> {
+        if self.cfg.threads <= 1 {
+            return Exec::Inline;
+        }
         let pool = WorkerPool::new(self.cfg.threads);
-        let locks = AtomicBitVec::new(self.state.len());
-        let mut ledgers: PerWorker<WorkerLedger<V>> =
-            PerWorker::new_with(pool.size(), |_| WorkerLedger::default());
-        let chunk_cap = self.cfg.poll_batch.saturating_mul(pool.size()).max(1);
-        let mut chunk: Vec<V> = Vec::new();
-        let mut scratch: Vec<V> = Vec::new();
-        loop {
-            let delivered = self.check_mailbox(&mut scratch);
-            let executed = self.run_chunk(&pool, &locks, &mut ledgers, &mut chunk, chunk_cap);
-            if delivered == 0 && executed == 0 && self.heap.is_empty() {
-                self.mailbox.flush();
-                let idle = self.mailbox.pending_out() == 0;
-                if self.quiescence.poll(
-                    self.mailbox.sent_count(),
-                    self.mailbox.received_count(),
-                    idle,
-                ) {
-                    break;
-                }
-                std::thread::yield_now();
-            }
-        }
-        self.stats.elapsed += start.elapsed();
+        Exec::Pool(PoolExec {
+            locks: AtomicBitVec::new(self.state.len()),
+            ledgers: PerWorker::new_with(pool.size(), |_| WorkerLedger {
+                shard: SendShard::default(),
+                pushed: 0,
+            }),
+            chunk: Vec::new(),
+            cap: self.cfg.poll_batch.saturating_mul(pool.size()).max(1),
+            pool,
+        })
     }
 
-    /// Pop up to `limit` visitors from the heap and execute them on the
-    /// worker pool; returns the number executed. Workers claim blocks of
-    /// the chunk from a shared cursor, guard each per-vertex state slot
+    /// The one visitor-queue loop behind every traversal mode: poll the
+    /// mailbox (and `side`, if any), run up to one chunk of queued visitors
+    /// through `exec`, and — once out of work, or once a checkpoint budget
+    /// is spent — flush and vote for a quiescence cut under `policy`.
+    /// Returns the verdict of the first confirmed cut.
+    fn drive(
+        &mut self,
+        exec: &mut Exec<'_, V>,
+        policy: CutPolicy,
+        mut side: Option<&mut dyn SideMailbox>,
+    ) -> CutVerdict {
+        let mut left = match policy {
+            CutPolicy::Checkpoint { budget } => budget,
+            CutPolicy::Terminate | CutPolicy::Round => usize::MAX,
+        };
+        loop {
+            let delivered = self.check_mailbox();
+            let side_delivered = side.as_mut().map_or(0, |s| s.poll());
+            let executed = match exec {
+                Exec::Inline => self.run_inline(left),
+                Exec::Pool(pool) => self.run_chunk(pool, left),
+                Exec::Park(newly) => self.park(newly, left),
+            };
+            left -= executed;
+            // The pool executor votes only after a chunk that ran nothing;
+            // inline and park vote as soon as the heap is empty.
+            let settled = executed == 0 || !matches!(exec, Exec::Pool(_));
+            let no_work = delivered == 0 && side_delivered == 0 && settled && self.heap.is_empty();
+            let due = left == 0 && matches!(policy, CutPolicy::Checkpoint { .. });
+            if !(due || no_work) {
+                continue;
+            }
+            self.mailbox.flush();
+            let (side_drained, side_sent, side_recv) =
+                side.as_mut().map_or((true, 0, 0), |s| s.flush());
+            let drained = self.mailbox.pending_out() == 0 && side_drained;
+            let flag = match policy {
+                CutPolicy::Terminate => true,
+                // `due` stays out of the flag: when every rank runs dry the
+                // cut reads as termination even if budgets were pending.
+                CutPolicy::Checkpoint { .. } => no_work && drained,
+                CutPolicy::Round => false,
+            };
+            if let Some(verdict) = self.quiescence.poll_cut_watched(
+                self.mailbox.sent_count() + side_sent,
+                self.mailbox.received_count() + side_recv,
+                drained,
+                flag,
+            ) {
+                assert!(
+                    verdict != CutVerdict::Abort || matches!(policy, CutPolicy::Round),
+                    "stall watchdog fired outside a round drain; only drain_round surfaces Abort"
+                );
+                return verdict;
+            }
+            // voted but no cut yet: give peer ranks the core instead of
+            // spin-polling (matters when ranks are oversubscribed onto few
+            // physical cores, as in the simulation)
+            std::thread::yield_now();
+        }
+    }
+
+    /// Inline executor: pop up to `poll_batch` (at most `left`) visitors and
+    /// run each `visit` on this thread, pushing straight through the ghost
+    /// filter and the mailbox. Returns the number executed.
+    fn run_inline(&mut self, left: usize) -> usize {
+        let limit = self.cfg.poll_batch.min(left);
+        let mut executed = 0;
+        while executed < limit {
+            let Some(HeapEntry(vis, _)) = self.heap.pop() else { break };
+            executed += 1;
+            self.stats.visitors_executed += 1;
+            let li = self.g.local_index(vis.vertex());
+            // split borrows: vertex state vs. push path
+            let Self { g, mailbox, ghosts, state, stats, .. } = self;
+            let mut pusher = Pusher { g, mailbox, ghosts, stats };
+            vis.visit(g, &mut state[li], &mut pusher);
+        }
+        executed
+    }
+
+    /// Pool executor: pop up to one chunk (at most `left`) and execute it on
+    /// the worker pool; returns the number executed. Workers claim blocks
+    /// of the chunk from a shared cursor, guard each per-vertex state slot
     /// with a bit lock only while copying the `visit_seed` out and while
     /// `merge`-ing the result back (never across the `visit` call itself,
     /// which may block on semi-external page fills), and stage every push
     /// in a per-worker [`SendShard`]. After the pool quiesces the
     /// coordinator absorbs the shards in worker order through the exact
-    /// ghost-filter + mailbox path a serial push takes, so wire traffic,
+    /// ghost-filter + mailbox path an inline push takes, so wire traffic,
     /// ghost counters and termination accounting are identical in kind to
-    /// the serial loop's.
-    fn run_chunk(
-        &mut self,
-        pool: &WorkerPool,
-        locks: &AtomicBitVec,
-        ledgers: &mut PerWorker<WorkerLedger<V>>,
-        chunk: &mut Vec<V>,
-        limit: usize,
-    ) -> usize {
+    /// the inline executor's.
+    fn run_chunk(&mut self, p: &mut PoolExec<V>, left: usize) -> usize {
+        let PoolExec { pool, locks, ledgers, chunk, cap } = p;
         chunk.clear();
+        let limit = (*cap).min(left);
         while chunk.len() < limit {
             let Some(HeapEntry(vis, _)) = self.heap.pop() else { break };
             chunk.push(vis);
@@ -517,6 +560,7 @@ impl<'g, V: Visitor + WireCodec> VisitorQueue<'g, V> {
             let slots = SharedSlots::new(self.state.as_mut_slice());
             let cursor = AtomicUsize::new(0);
             let chunk_ref: &[V] = chunk;
+            let locks: &AtomicBitVec = locks;
             let ledgers_ref: &PerWorker<WorkerLedger<V>> = &*ledgers;
             // Small blocks keep load balance when per-visitor cost varies
             // (page faults, skewed degrees) without cursor contention.
@@ -543,7 +587,6 @@ impl<'g, V: Visitor + WireCodec> VisitorQueue<'g, V> {
                         // safety: as above — lock held for the merge only
                         V::merge(unsafe { slots.slot(li) }, &seed);
                         locks.unlock(li);
-                        ledger.executed += 1;
                     }
                 }
             };
@@ -552,120 +595,67 @@ impl<'g, V: Visitor + WireCodec> VisitorQueue<'g, V> {
         // Absorb in fixed worker order: visitor-level interleaving inside a
         // chunk is scheduling-dependent, but everything that reaches the
         // wire does so from this single-threaded, deterministic drain.
-        let Self { mailbox, ghosts, stats, .. } = self;
+        self.stats.visitors_executed += executed as u64;
         for ledger in ledgers.iter_mut() {
-            stats.visitors_executed += ledger.executed;
-            stats.visitors_pushed += ledger.pushed;
-            ledger.executed = 0;
-            ledger.pushed = 0;
-            for (dst, visitor) in ledger.shard.drain() {
-                if ghost_pass::<V>(ghosts, stats, &visitor) {
-                    mailbox.send(dst, visitor);
-                }
-            }
+            self.absorb_shard(&mut ledger.shard, std::mem::take(&mut ledger.pushed));
         }
         executed
     }
 
-    /// Drive one level-synchronous *round* to a confirmed global cut
-    /// (direction-optimizing engine, DESIGN.md §13). Polls the mailbox,
-    /// pre-visits and replica-forwards arrivals exactly like the
-    /// asynchronous loop, but *parks* every surviving visitor into `newly`
-    /// instead of executing its `visit` — the engine folds survivors into
-    /// the next frontier bitmap and generates the following level's
-    /// candidates itself. Returns once [`Quiescence::poll_cut`] confirms a
-    /// non-terminal consistent cut: every candidate sent anywhere this
-    /// round has been delivered, pre-visited and (where it improved state)
-    /// forwarded down its replica chain, and nothing is in flight.
+    /// Park executor: move up to `left` popped visitors into `newly`
+    /// without running `visit`; returns the number parked.
+    fn park(&mut self, newly: &mut Vec<V>, left: usize) -> usize {
+        let before = newly.len();
+        newly.extend(std::iter::from_fn(|| self.heap.pop().map(|HeapEntry(v, _)| v)).take(left));
+        let parked = newly.len() - before;
+        self.stats.visitors_executed += parked as u64;
+        parked
+    }
+
+    /// Drive one level-synchronous *round* to a confirmed global cut (the
+    /// direction-optimizing engine, DESIGN.md §13, and the lifecycle
+    /// engine, §15): the one queue loop with the park executor and the
+    /// round cut policy. Polls the mailbox, pre-visits and
+    /// replica-forwards arrivals exactly like the asynchronous loop, but
+    /// *parks* every surviving visitor into `newly` instead of executing
+    /// its `visit` — the engine expands the next frontier itself. Returns
+    /// once [`Quiescence::poll_cut`] confirms a non-terminal consistent
+    /// cut: every candidate sent anywhere this round has been delivered,
+    /// pre-visited and (where it improved state) forwarded down its
+    /// replica chain, and nothing is in flight.
+    ///
+    /// A `side` mailbox (the lifecycle engine's cancel plane) is
+    /// co-settled under the same cut: its payload counters are summed into
+    /// the quiescence poll, so at every confirmed cut all ranks hold the
+    /// same set of side records. Side arrivals are appended to its inbox
+    /// and never executed or forwarded. The returned verdict is
+    /// [`CutVerdict::Cut`], or [`CutVerdict::Abort`] once the armed stall
+    /// watchdog fires.
     ///
     /// Collective: every rank must call `drain_round` the same number of
     /// times, and the caller must run at least one collective between
-    /// consecutive rounds (the engine's frontier-size `all_reduce_sum`),
-    /// so no rank can inject round-`k+1` traffic while a peer still polls
-    /// round `k`.
-    pub(crate) fn drain_round(&mut self, scratch: &mut Vec<V>, newly: &mut Vec<V>) {
-        loop {
-            let delivered = self.check_mailbox(scratch);
-            while let Some(HeapEntry(vis, _)) = self.heap.pop() {
-                self.stats.visitors_executed += 1;
-                newly.push(vis);
-            }
-            if delivered == 0 {
-                self.mailbox.flush();
-                let drained = self.mailbox.pending_out() == 0;
-                // flag=false: the cut is a reusable level barrier, never a
-                // terminal verdict — the engine terminates on an empty
-                // global frontier, not on queue quiescence.
-                if self
-                    .quiescence
-                    .poll_cut(
-                        self.mailbox.sent_count(),
-                        self.mailbox.received_count(),
-                        drained,
-                        false,
-                    )
-                    .is_some()
-                {
-                    return;
-                }
-                std::thread::yield_now();
-            }
-        }
+    /// consecutive rounds (the engines' frontier `all_reduce`), so no rank
+    /// can inject round-`k+1` traffic while a peer still polls round `k`.
+    pub(crate) fn drain_round(
+        &mut self,
+        newly: &mut Vec<V>,
+        side: Option<&mut dyn SideMailbox>,
+    ) -> CutVerdict {
+        self.drive(&mut Exec::Park(newly), CutPolicy::Round, side)
     }
 
     /// Arm the quiescence detector's stall watchdog (lifecycle engine,
     /// DESIGN.md §15): after `waves` consecutive completed waves that are
     /// stable but payload-unbalanced, every rank's next
-    /// [`Self::drain_round_side`] returns [`CutVerdict::Abort`].
+    /// [`Self::drain_round`] returns [`CutVerdict::Abort`].
     pub(crate) fn arm_watchdog(&mut self, waves: u64) {
         self.quiescence.arm_watchdog(waves);
     }
 
-    /// Like [`Self::drain_round`], but co-settles a *side mailbox* (the
-    /// lifecycle engine's cancel plane) under the same cut and surfaces the
-    /// stall watchdog's verdict. The side channel's payload counters are
-    /// summed into the quiescence poll, so a cut cannot confirm while a
-    /// cancel record is still in flight anywhere — at every confirmed cut,
-    /// all ranks hold the same set of side records. Arrivals on the side
-    /// channel are appended to `side_in` (never executed or forwarded:
-    /// side records are rank-terminal control messages).
-    pub(crate) fn drain_round_side<C: Send + WireCodec + 'static>(
-        &mut self,
-        scratch: &mut Vec<V>,
-        newly: &mut Vec<V>,
-        side: &mut Mailbox<C>,
-        side_in: &mut Vec<C>,
-    ) -> CutVerdict {
-        loop {
-            let delivered = self.check_mailbox(scratch);
-            let side_delivered = side.poll(side_in);
-            while let Some(HeapEntry(vis, _)) = self.heap.pop() {
-                self.stats.visitors_executed += 1;
-                newly.push(vis);
-            }
-            if delivered == 0 && side_delivered == 0 {
-                self.mailbox.flush();
-                side.flush();
-                let drained = self.mailbox.pending_out() == 0 && side.pending_out() == 0;
-                // flag=false: cuts are reusable round barriers; the engine
-                // decides termination from all-reduced frontier state.
-                if let Some(verdict) = self.quiescence.poll_cut_watched(
-                    self.mailbox.sent_count() + side.sent_count(),
-                    self.mailbox.received_count() + side.received_count(),
-                    drained,
-                    false,
-                ) {
-                    return verdict;
-                }
-                std::thread::yield_now();
-            }
-        }
-    }
-
-    /// Absorb a worker-staged shard of generated candidates through the
-    /// ghost filter + mailbox, in coordinator context (direction engine's
-    /// parallel generation pass; mirrors the tail of [`Self::run_chunk`]).
-    pub(crate) fn absorb_generated(&mut self, shard: &mut SendShard<V>, pushed: u64) {
+    /// Absorb a worker-staged shard of pushes through the ghost filter +
+    /// mailbox, in coordinator context, counting its `pushed` visitors (the
+    /// pool executor's chunks and the round engines' parallel passes).
+    pub(crate) fn absorb_shard(&mut self, shard: &mut SendShard<V>, pushed: u64) {
         let Self { mailbox, ghosts, stats, .. } = self;
         stats.visitors_pushed += pushed;
         for (dst, visitor) in shard.drain() {
@@ -689,10 +679,11 @@ impl<'g, V: Visitor + WireCodec> VisitorQueue<'g, V> {
     }
 
     /// Run the traversal with periodic checkpoints and (fault-injected)
-    /// crash/restore. Collective; every rank must call it with the same
-    /// `spec`.
+    /// crash/restore; `None` runs the plain [`Self::do_traversal`].
+    /// Collective; every rank must call it with the same `spec`.
     ///
-    /// The loop piggybacks checkpointing on the quiescence detector: once a
+    /// This is the one queue loop with the checkpoint-every-k cut policy,
+    /// which piggybacks checkpointing on the quiescence detector: once a
     /// rank has executed `spec.every` visitors since the last cut it parks
     /// its heap (still polling, pre-visiting and forwarding, so the global
     /// payload counters can settle) and votes for a cut via
@@ -704,6 +695,14 @@ impl<'g, V: Visitor + WireCodec> VisitorQueue<'g, V> {
     /// [`CheckpointStore`]. Cuts where every rank also reports "no local
     /// work" terminate the traversal directly (no trailing checkpoint).
     ///
+    /// With the pool executor (`cfg.threads > 1`) chunks are also bounded
+    /// by the remaining checkpoint budget, so a cut can only happen
+    /// *between* chunks — with the worker pool quiesced (every `broadcast`
+    /// joins before returning) and every staged shard absorbed. The
+    /// snapshot a cut exports is therefore exactly the coordinator's
+    /// single-threaded view: same state vector, same heap, same counters,
+    /// same wire sequence numbers as an inline rank parked at the same cut.
+    ///
     /// Crash injection: the shared fault plan deterministically names at
     /// most one victim per (epoch, incarnation) — a stand-in for a perfect
     /// failure detector, so all ranks agree on the failure without extra
@@ -714,151 +713,38 @@ impl<'g, V: Visitor + WireCodec> VisitorQueue<'g, V> {
     /// decrements. Wire sequence numbers are never rewound: receiver dedup
     /// windows must stay gap-free, and the restored state re-generates any
     /// undelivered work by re-execution.
-    pub fn do_traversal_checkpointed(&mut self, ctx: &RankCtx, spec: &CheckpointSpec)
+    pub fn do_traversal_checkpointed(&mut self, ctx: &RankCtx, spec: Option<&CheckpointSpec>)
     where
         V::Data: WireCodec<DecodeCtx = ()>,
     {
-        if self.cfg.threads > 1 {
-            self.do_traversal_checkpointed_parallel(ctx, spec);
-            return;
-        }
+        let Some(spec) = spec else { return self.do_traversal() };
         let start = Instant::now();
-        let every = spec.every.max(1);
+        let mut exec = self.executor();
         let mut store = spec.build_store();
-        let mut scratch: Vec<V> = Vec::new();
-        let mut epoch: u64 = 0;
-        let mut incarnation: u64 = 0;
+        let (mut epoch, mut incarnation) = (0, 0);
         // Start "due": the first cut fires before any visitor executes, so
         // epoch 0 — which crash injection spares — always exists as a
         // restore point.
-        let mut executed_since = every;
-        loop {
-            let delivered = self.check_mailbox(&mut scratch);
-            if executed_since < every {
-                let mut budget = self.cfg.poll_batch;
-                while budget > 0 && executed_since < every {
-                    let Some(HeapEntry(vis, _)) = self.heap.pop() else { break };
-                    budget -= 1;
-                    executed_since += 1;
-                    self.stats.visitors_executed += 1;
-                    let li = self.g.local_index(vis.vertex());
-                    let Self { g, mailbox, ghosts, state, stats, .. } = self;
-                    let mut pusher = Pusher { g, mailbox, ghosts, stats };
-                    vis.visit(g, &mut state[li], &mut pusher);
-                }
-            }
-            let due = executed_since >= every;
-            let no_work = delivered == 0 && self.heap.is_empty();
-            if due || no_work {
-                self.mailbox.flush();
-                let drained = self.mailbox.pending_out() == 0;
-                // `due` stays out of the flag: when every rank runs dry the
-                // cut reads as termination even if thresholds were pending.
-                let flag = no_work && drained;
-                match self.quiescence.poll_cut(
-                    self.mailbox.sent_count(),
-                    self.mailbox.received_count(),
-                    drained,
-                    flag,
-                ) {
-                    Some(true) => break,
-                    Some(false) => {
-                        self.checkpoint_cut(ctx, spec, &mut store, &mut epoch, &mut incarnation);
-                        executed_since = 0;
-                    }
-                    None => std::thread::yield_now(),
-                }
-            }
+        let mut budget = 0;
+        while self.drive(&mut exec, CutPolicy::Checkpoint { budget }, None) == CutVerdict::Cut {
+            self.round_checkpoint(ctx, spec, &mut store, &mut epoch, &mut incarnation, &[]);
+            budget = spec.every.max(1) as usize;
         }
         self.stats.elapsed += start.elapsed();
     }
 
-    /// Multi-threaded checkpointed traversal (`cfg.threads > 1`). Chunks
-    /// are additionally bounded by the remaining checkpoint budget, so a
-    /// cut can only happen *between* chunks — i.e. with the worker pool
-    /// quiesced (every `broadcast` joins before returning) and every
-    /// staged shard absorbed. The snapshot a cut exports is therefore
-    /// exactly the coordinator's single-threaded view: same state vector,
-    /// same heap, same counters, same wire sequence numbers as a serial
-    /// rank parked at the same cut.
-    fn do_traversal_checkpointed_parallel(&mut self, ctx: &RankCtx, spec: &CheckpointSpec)
-    where
-        V::Data: WireCodec<DecodeCtx = ()>,
-    {
-        let start = Instant::now();
-        let every = spec.every.max(1);
-        let mut store = spec.build_store();
-        let pool = WorkerPool::new(self.cfg.threads);
-        let locks = AtomicBitVec::new(self.state.len());
-        let mut ledgers: PerWorker<WorkerLedger<V>> =
-            PerWorker::new_with(pool.size(), |_| WorkerLedger::default());
-        let chunk_cap = self.cfg.poll_batch.saturating_mul(pool.size()).max(1);
-        let mut chunk: Vec<V> = Vec::new();
-        let mut scratch: Vec<V> = Vec::new();
-        let mut epoch: u64 = 0;
-        let mut incarnation: u64 = 0;
-        let mut executed_since = every;
-        loop {
-            let delivered = self.check_mailbox(&mut scratch);
-            let mut executed = 0;
-            if executed_since < every {
-                let limit = chunk_cap.min((every - executed_since) as usize);
-                executed = self.run_chunk(&pool, &locks, &mut ledgers, &mut chunk, limit);
-                executed_since += executed as u64;
-            }
-            let due = executed_since >= every;
-            let no_work = delivered == 0 && executed == 0 && self.heap.is_empty();
-            if due || no_work {
-                self.mailbox.flush();
-                let drained = self.mailbox.pending_out() == 0;
-                let flag = no_work && drained;
-                match self.quiescence.poll_cut(
-                    self.mailbox.sent_count(),
-                    self.mailbox.received_count(),
-                    drained,
-                    flag,
-                ) {
-                    Some(true) => break,
-                    Some(false) => {
-                        self.checkpoint_cut(ctx, spec, &mut store, &mut epoch, &mut incarnation);
-                        executed_since = 0;
-                    }
-                    None => std::thread::yield_now(),
-                }
-            }
-        }
-        self.stats.elapsed += start.elapsed();
-    }
-
-    /// One confirmed checkpoint cut: write this rank's epoch (torn if we
-    /// are the injected victim), then — if anyone crashed — collectively
-    /// rewind every rank to the newest globally complete epoch.
-    fn checkpoint_cut(
-        &mut self,
-        ctx: &RankCtx,
-        spec: &CheckpointSpec,
-        store: &mut CheckpointStore,
-        epoch: &mut u64,
-        incarnation: &mut u64,
-    ) where
-        V::Data: WireCodec<DecodeCtx = ()>,
-    {
-        let blob = self.export_checkpoint().encode();
-        if let Some(bytes) = self.cut_core(ctx, spec, store, epoch, incarnation, blob) {
-            let ck = QueueCheckpoint::<V>::decode(&bytes, &self.decode_ctx)
-                .expect("committed checkpoint blob decodes");
-            self.restore_from(ck);
-        }
-    }
-
-    /// Like [`Self::checkpoint_cut`] but for engines that carry extra
-    /// per-rank loop state alongside the queue snapshot (the direction
-    /// engine's level counter, direction and trace — DESIGN.md §13). The
-    /// blob is `[extra_len u64][extra][queue blob]`; on a crash-triggered
-    /// world rewind the queue part is restored in place and the `extra`
-    /// bytes of the restore epoch are returned for the caller to rewind
-    /// its own state. Collective under the same contract as
-    /// `checkpoint_cut`: all ranks enter together at a confirmed cut.
+    /// One confirmed checkpoint cut: write this rank's epoch blob (torn if
+    /// we are the injected victim), then — if anyone crashed — collectively
+    /// agree on the newest globally complete epoch, truncate above it and
+    /// rewind every rank to it. Engines that carry extra per-rank loop
+    /// state alongside the queue snapshot (the direction engine's level
+    /// counter, direction and trace — DESIGN.md §13) pass it as `extra`;
+    /// the asynchronous checkpointed loop passes none. The blob is
+    /// `[extra_len u64][extra][queue blob]`; on a crash-triggered world
+    /// rewind the queue part is restored in place and the `extra` bytes of
+    /// the restore epoch are returned for the caller to rewind its own
+    /// state. Returns `None` when no crash fired (the epoch advances
+    /// normally). Collective: all ranks enter together at a confirmed cut.
     pub(crate) fn round_checkpoint(
         &mut self,
         ctx: &RankCtx,
@@ -876,28 +762,6 @@ impl<'g, V: Visitor + WireCodec> VisitorQueue<'g, V> {
         blob.extend_from_slice(&(extra.len() as u64).to_le_bytes());
         blob.extend_from_slice(extra);
         blob.extend_from_slice(&queue_blob);
-        let bytes = self.cut_core(ctx, spec, store, epoch, incarnation, blob)?;
-        let extra_len = u64::from_le_bytes(bytes[..8].try_into().unwrap()) as usize;
-        let ck = QueueCheckpoint::<V>::decode(&bytes[8 + extra_len..], &self.decode_ctx)
-            .expect("committed checkpoint blob decodes");
-        self.restore_from(ck);
-        Some(bytes[8..8 + extra_len].to_vec())
-    }
-
-    /// Shared body of one checkpoint cut: write this rank's epoch blob
-    /// (torn if we are the injected victim), then — if anyone crashed —
-    /// collectively agree on the newest globally complete epoch, truncate
-    /// above it and return its blob bytes so the caller can restore.
-    /// Returns `None` when no crash fired (epoch advances normally).
-    fn cut_core(
-        &mut self,
-        ctx: &RankCtx,
-        spec: &CheckpointSpec,
-        store: &mut CheckpointStore,
-        epoch: &mut u64,
-        incarnation: &mut u64,
-        blob: Vec<u8>,
-    ) -> Option<Vec<u8>> {
         let t = Instant::now();
         let victim = ctx.crash_victim(*epoch, *incarnation);
         if victim == Some(self.rank) {
@@ -914,28 +778,7 @@ impl<'g, V: Visitor + WireCodec> VisitorQueue<'g, V> {
                 debug_assert!(flipped, "corruption target epoch was just committed");
             }
         }
-        if victim.is_some() {
-            // Walk past torn *and* silently corrupt epochs: a committed
-            // blob failing its checksum is treated exactly like a torn
-            // one, but counted — the restore-fallback telemetry.
-            let (local_latest, fallbacks) = store.latest_complete_epoch_with_fallbacks();
-            let local_latest =
-                local_latest.expect("epoch 0 is never torn, so a complete epoch exists");
-            self.stats.restore_epoch_fallbacks += fallbacks;
-            let target = ctx.all_reduce_min(local_latest);
-            let bytes = store.read_epoch(target).expect("agreed restore epoch is complete");
-            // Drop every epoch above the restore target: the rewound run
-            // will re-number them, and a stale complete epoch from this
-            // incarnation must never satisfy a later recovery's
-            // `latest_complete_epoch`.
-            store.truncate_above(target);
-            self.stats.restores += 1;
-            self.mailbox.channel_stats().record_restore(self.rank);
-            *incarnation += 1;
-            *epoch = target + 1;
-            self.stats.checkpoint_time += t.elapsed();
-            Some(bytes)
-        } else {
+        if victim.is_none() {
             *epoch += 1;
             // Post-cut barrier: without it a fast rank resumes executing
             // and its sends can land in a slow rank's heap *before* that
@@ -944,11 +787,33 @@ impl<'g, V: Visitor + WireCodec> VisitorQueue<'g, V> {
             // the send not — and a restore would replay the message:
             // double delivery, which non-idempotent visitors (triangle's
             // counter increments) turn into wrong answers. The crash
-            // branch above is already synchronized by `all_reduce_min`.
+            // branch below is already synchronized by `all_reduce_min`.
             ctx.barrier();
             self.stats.checkpoint_time += t.elapsed();
-            None
+            return None;
         }
+        // Walk past torn *and* silently corrupt epochs: a committed blob
+        // failing its checksum is treated exactly like a torn one, but
+        // counted — the restore-fallback telemetry.
+        let (local_latest, fallbacks) = store.latest_complete_epoch_with_fallbacks();
+        let local_latest = local_latest.expect("epoch 0 is never torn, so a complete epoch exists");
+        self.stats.restore_epoch_fallbacks += fallbacks;
+        let target = ctx.all_reduce_min(local_latest);
+        let bytes = store.read_epoch(target).expect("agreed restore epoch is complete");
+        // Drop every epoch above the restore target: the rewound run will
+        // re-number them, and a stale complete epoch from this incarnation
+        // must never satisfy a later recovery's `latest_complete_epoch`.
+        store.truncate_above(target);
+        self.stats.restores += 1;
+        self.mailbox.channel_stats().record_restore(self.rank);
+        *incarnation += 1;
+        *epoch = target + 1;
+        self.stats.checkpoint_time += t.elapsed();
+        let extra_len = u64::from_le_bytes(bytes[..8].try_into().unwrap()) as usize;
+        let ck = QueueCheckpoint::<V>::decode(&bytes[8 + extra_len..], &self.decode_ctx)
+            .expect("committed checkpoint blob decodes");
+        self.restore_from(ck);
+        Some(bytes[8..8 + extra_len].to_vec())
     }
 
     /// Freeze this rank's traversal state at a confirmed cut.
@@ -1020,20 +885,8 @@ fn ghost_pass<V: Visitor + WireCodec>(
     true
 }
 
-/// The push path, shared between the queue itself and the in-`visit` pusher.
-fn push_impl<V: Visitor + WireCodec>(
-    g: &DistGraph,
-    mailbox: &mut Mailbox<V>,
-    ghosts: &mut GhostTable<V::Data>,
-    stats: &mut TraversalStats,
-    visitor: V,
-) {
-    stats.visitors_pushed += 1;
-    if ghost_pass::<V>(ghosts, stats, &visitor) {
-        mailbox.send(g.min_owner(visitor.vertex()), visitor);
-    }
-}
-
+/// The push path, shared between the queue itself and the inline
+/// executor's in-`visit` pushes.
 struct Pusher<'a, V: Visitor + WireCodec> {
     g: &'a DistGraph,
     mailbox: &'a mut Mailbox<V>,
@@ -1043,22 +896,75 @@ struct Pusher<'a, V: Visitor + WireCodec> {
 
 impl<'a, V: Visitor + WireCodec> VisitorPush<V> for Pusher<'a, V> {
     fn push(&mut self, visitor: V) {
-        push_impl(self.g, self.mailbox, self.ghosts, self.stats, visitor);
+        self.stats.visitors_pushed += 1;
+        if ghost_pass::<V>(self.ghosts, self.stats, &visitor) {
+            self.mailbox.send(self.g.min_owner(visitor.vertex()), visitor);
+        }
     }
 }
 
 /// Per-worker scratch for one parallel traversal: the staged outgoing
-/// pushes plus the worker's share of the execution counters, merged into
-/// [`TraversalStats`] by the coordinator when it absorbs the shard.
+/// pushes and their count, merged into [`TraversalStats`] by the
+/// coordinator when it absorbs the shard.
 struct WorkerLedger<V: Visitor + WireCodec> {
     shard: SendShard<V>,
-    executed: u64,
     pushed: u64,
 }
 
-impl<V: Visitor + WireCodec> Default for WorkerLedger<V> {
-    fn default() -> Self {
-        WorkerLedger { shard: SendShard::default(), executed: 0, pushed: 0 }
+/// How the one queue loop runs the visitors it pops; chosen once per
+/// traversal and matched once per chunk.
+enum Exec<'a, V: Visitor + WireCodec> {
+    /// `visit` on this thread: the paper's serial loop (`threads = 1`).
+    Inline,
+    /// `visit` fanned out to a worker pool (`threads > 1`, DESIGN.md §11).
+    Pool(PoolExec<V>),
+    /// No `visit`: park popped visitors for a round engine to expand.
+    Park(&'a mut Vec<V>),
+}
+
+/// The pool executor's per-traversal state; `cap` is the chunk size
+/// (`poll_batch` per worker).
+struct PoolExec<V: Visitor + WireCodec> {
+    pool: WorkerPool,
+    locks: AtomicBitVec,
+    ledgers: PerWorker<WorkerLedger<V>>,
+    chunk: Vec<V>,
+    cap: usize,
+}
+
+/// When the one queue loop votes for a quiescence cut, and with which flag.
+#[derive(Clone, Copy)]
+enum CutPolicy {
+    /// Vote when out of work, flag `true`: the first cut is termination.
+    Terminate,
+    /// Vote when out of work or once `budget` visitors have run, flag "out
+    /// of work and drained": a cut where every rank ran dry terminates,
+    /// any other is a checkpoint barrier with the frontier in the heaps.
+    Checkpoint { budget: usize },
+    /// Vote when out of work, flag `false`: every cut is a reusable round
+    /// barrier; the engine terminates on its global frontier, not here.
+    Round,
+}
+
+/// A side mailbox co-settled under a round cut (the lifecycle engine's
+/// cancel plane, DESIGN.md §15), paired with the inbox its arrivals are
+/// appended to.
+pub(crate) trait SideMailbox {
+    /// Poll arrivals into the inbox; returns how many arrived.
+    fn poll(&mut self) -> usize;
+    /// Flush staged sends; returns whether nothing is left pending, and
+    /// the end-to-end payloads sent and received.
+    fn flush(&mut self) -> (bool, u64, u64);
+}
+
+impl<C: Send + WireCodec + 'static> SideMailbox for (&mut Mailbox<C>, &mut Vec<C>) {
+    fn poll(&mut self) -> usize {
+        self.0.poll(self.1)
+    }
+
+    fn flush(&mut self) -> (bool, u64, u64) {
+        self.0.flush();
+        (self.0.pending_out() == 0, self.0.sent_count(), self.0.received_count())
     }
 }
 
@@ -1362,7 +1268,7 @@ mod tests {
                 q.push(Flood { vertex: VertexId(0) });
             }
             let spec = crate::checkpoint::CheckpointSpec::default().with_every(every);
-            q.do_traversal_checkpointed(ctx, &spec);
+            q.do_traversal_checkpointed(ctx, Some(&spec));
             let s = q.stats();
             let marked: u64 = g
                 .local_vertices()
@@ -1426,7 +1332,7 @@ mod tests {
                 let spec = crate::checkpoint::CheckpointSpec::default()
                     .with_every(8)
                     .with_corrupt_committed(0, 2);
-                q.do_traversal_checkpointed(ctx, &spec);
+                q.do_traversal_checkpointed(ctx, Some(&spec));
                 let s = q.stats();
                 let marked: u64 = g
                     .local_vertices()
@@ -1447,16 +1353,17 @@ mod tests {
         }
     }
 
-    /// Satellite check for the intra-rank worker pool: the Flood visitor's
-    /// traversal counters are fully deterministic (marking is idempotent
-    /// and ghost slots converge to "marked" regardless of interleaving),
-    /// so the merged per-worker stat cells must reproduce the serial
-    /// counts exactly at every thread count.
+    /// Executor × cut-policy grid: the Flood visitor's traversal counters
+    /// are fully deterministic (marking is idempotent and ghost slots
+    /// converge to "marked" regardless of interleaving), so every executor
+    /// (inline at 1 thread, pool at 2 and 4) under every fault-free cut
+    /// policy (plain, checkpoint every 8, checkpoint every 64) must
+    /// reproduce the serial plain counts exactly.
     #[test]
     fn parallel_stats_match_serial_exactly() {
         let gen = RmatGenerator::graph500(8);
         let edges = gen.symmetric_edges(21);
-        let run = |threads: usize| {
+        let run = |threads: usize, every: Option<u64>| {
             let out = CommWorld::run(2, |ctx| {
                 let g = DistGraph::build_replicated(
                     ctx,
@@ -1469,7 +1376,9 @@ mod tests {
                 if g.is_master(VertexId(0)) {
                     q.push(Flood { vertex: VertexId(0) });
                 }
-                q.do_traversal();
+                let spec =
+                    every.map(|k| crate::checkpoint::CheckpointSpec::default().with_every(k));
+                q.do_traversal_checkpointed(ctx, spec.as_ref());
                 let s = q.stats();
                 let marked: u64 = g
                     .local_vertices()
@@ -1488,9 +1397,11 @@ mod tests {
             });
             out[0]
         };
-        let serial = run(1);
-        for threads in [2usize, 4] {
-            assert_eq!(run(threads), serial, "threads={threads}");
+        let serial = run(1, None);
+        for threads in [1usize, 2, 4] {
+            for every in [None, Some(8), Some(64)] {
+                assert_eq!(run(threads, every), serial, "threads={threads} every={every:?}");
+            }
         }
     }
 
@@ -1514,7 +1425,7 @@ mod tests {
                         q.push(Flood { vertex: VertexId(0) });
                     }
                     let spec = crate::checkpoint::CheckpointSpec::default().with_every(8);
-                    q.do_traversal_checkpointed(ctx, &spec);
+                    q.do_traversal_checkpointed(ctx, Some(&spec));
                     let s = q.stats();
                     let marked: u64 = g
                         .local_vertices()
