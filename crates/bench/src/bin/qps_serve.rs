@@ -12,7 +12,8 @@
 //! into the same scheduler and makes identical admission decisions.
 //!
 //! The sweep runs the same stream at load factors from 0.25× to 4× of the
-//! calibrated single-batch capacity and reports, per load: offered vs
+//! calibrated capacity (after one untimed warm-up batch, the median
+//! service time of five full batches) and reports, per load: offered vs
 //! achieved QPS, batches served, mean batch occupancy, p50/p99 latency,
 //! shed count and shed rate, serve-side errors, and aggregate traversal
 //! MTEPS. Under overload with an *unbounded* backlog, latency ramps
@@ -44,6 +45,8 @@ use havoq_graph::types::VertexId;
 use havoq_util::testing::TestRng;
 
 const LOAD_FACTORS: [f64; 5] = [0.25, 0.5, 1.0, 2.0, 4.0];
+/// Timed full batches whose median calibrates the service capacity.
+const CALIBRATION_BATCHES: usize = 5;
 
 fn main() {
     let scale: u32 = pick(8, 11);
@@ -111,9 +114,15 @@ fn main() {
             (ns, traversed)
         };
 
-        // calibration: one full batch defines the service capacity
+        // calibration, warm: one untimed full batch warms caches and
+        // allocators, then the median of CALIBRATION_BATCHES timed full
+        // batches defines the service capacity (a single cold batch
+        // underestimated it and mislabeled every load factor)
         let full: Vec<VertexId> = (0..capacity).map(|i| pool[i % pool.len()]).collect();
-        let (cal_ns, _) = serve(&full);
+        serve(&full);
+        let mut cal: Vec<u64> = (0..CALIBRATION_BATCHES).map(|_| serve(&full).0).collect();
+        cal.sort_unstable();
+        let cal_ns = cal[cal.len() / 2];
         let capacity_qps = capacity as f64 / (cal_ns as f64 / 1e9);
 
         // the load sweep: same query stream, scaled inter-arrival gaps
@@ -260,7 +269,8 @@ fn main() {
     let mut exp = Experiment::begin(
         &[&format!(
             "calibrated capacity: {capacity_qps:.1} QPS \
-             (one {capacity}-wide batch serves in {:.2} ms)",
+             (a {capacity}-wide batch serves in {:.2} ms, median of \
+             {CALIBRATION_BATCHES} warm batches)",
             *cal_ns as f64 / 1e6
         )],
         "qps_serve.csv",

@@ -11,8 +11,8 @@
 //!   (I/O queue depths, frame fills) with exact mean/max tracking.
 //! - [`testing`]: a deterministic property-test harness (seeded cases +
 //!   a small PRNG) replacing proptest for the invariant suites.
-//! - [`crc`]: table-driven CRC-32 shared by the wire frames and the page
-//!   cache's per-page write-back checksums.
+//! - [`crc`]: slice-by-16 table-driven CRC-32 shared by the wire frames
+//!   and the page cache's per-page write-back checksums.
 //! - [`parallel`]: a scoped worker pool, atomic bitmap, and per-worker
 //!   cells backing the intra-rank parallel traversal (DESIGN.md §11).
 

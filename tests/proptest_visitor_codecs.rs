@@ -17,8 +17,9 @@
 
 use havoq_comm::codec::{
     frame_init, frame_seal, frame_set_count, frame_verify_and_strip, FRAME_CRC_BYTES,
+    FRAME_HEADER_BYTES,
 };
-use havoq_comm::WireCodec;
+use havoq_comm::{MailboxConfig, WireCodec};
 use havoq_core::algorithms::bfs::BfsVisitor;
 use havoq_core::algorithms::cc::CcVisitor;
 use havoq_core::algorithms::kcore::KCoreVisitor;
@@ -141,6 +142,30 @@ fn subset_triangle_visitor_byte_roundtrips() {
     });
 }
 
+/// A sealed frame of random records (empty frames included), from a few
+/// bytes up to the default mailbox frame size (4 KiB), so both the CRC's
+/// 16-byte block path and its byte-wise tail see header, records and trailer.
+fn sealed_random_frame(rng: &mut TestRng) -> Vec<u8> {
+    let frame_bytes = MailboxConfig::default().frame_bytes;
+    let record_size = rng.range_usize(1, 64);
+    let max_count = (frame_bytes - FRAME_HEADER_BYTES - FRAME_CRC_BYTES) / record_size;
+    let count = rng.range_usize(0, max_count + 1);
+    let mut buf = Vec::new();
+    frame_init(&mut buf, record_size as u32);
+    for _ in 0..record_size * count {
+        buf.push(rng.u8());
+    }
+    frame_set_count(&mut buf, count as u32);
+    frame_seal(&mut buf);
+    assert!(buf.len() <= frame_bytes);
+
+    // sanity: the intact frame verifies and the trailer strips cleanly
+    let mut intact = buf.clone();
+    assert!(frame_verify_and_strip(&mut intact), "intact frame rejected");
+    assert_eq!(intact.len(), buf.len() - FRAME_CRC_BYTES);
+    buf
+}
+
 /// The integrity guarantee the retransmission protocol leans on: a single
 /// bit-flip *anywhere* in a sealed frame — header, records, or the CRC
 /// trailer itself — is always detected, and the rejected frame is left
@@ -151,22 +176,7 @@ fn subset_triangle_visitor_byte_roundtrips() {
 #[test]
 fn sealed_frame_single_bit_flip_is_always_detected() {
     run_cases(512, |rng: &mut TestRng| {
-        // synthesize a frame of random records (empty frames included)
-        let record_size = rng.range_usize(1, 64);
-        let count = rng.range_usize(0, 16);
-        let mut buf = Vec::new();
-        frame_init(&mut buf, record_size as u32);
-        for _ in 0..record_size * count {
-            buf.push(rng.u8());
-        }
-        frame_set_count(&mut buf, count as u32);
-        frame_seal(&mut buf);
-
-        // sanity: the intact frame verifies and the trailer strips cleanly
-        let mut intact = buf.clone();
-        assert!(frame_verify_and_strip(&mut intact), "intact frame rejected");
-        assert_eq!(intact.len(), buf.len() - FRAME_CRC_BYTES);
-
+        let buf = sealed_random_frame(rng);
         let bit = rng.range_usize(0, buf.len() * 8);
         let mut flipped = buf.clone();
         flipped[bit / 8] ^= 1 << (bit % 8);
@@ -174,6 +184,33 @@ fn sealed_frame_single_bit_flip_is_always_detected() {
         assert!(
             !frame_verify_and_strip(&mut flipped),
             "bit {bit} of {} escaped the CRC",
+            buf.len() * 8
+        );
+        assert_eq!(flipped, before, "rejected frame must be left untouched");
+    });
+}
+
+/// CRC-32 also detects every error burst of up to 32 bits: flip a run of
+/// `len` consecutive bits (LSB-first within a byte, the reflected CRC's bit
+/// order) whose first and last bits are flipped and whose interior is
+/// random, anywhere in the sealed frame, trailer included.
+#[test]
+fn sealed_frame_burst_of_up_to_32_bits_is_always_detected() {
+    run_cases(512, |rng: &mut TestRng| {
+        let buf = sealed_random_frame(rng);
+        let len = rng.range_usize(1, 33);
+        let start = rng.range_usize(0, buf.len() * 8 - len + 1);
+        let mut flipped = buf.clone();
+        for i in 0..len {
+            if i == 0 || i == len - 1 || rng.bool() {
+                let bit = start + i;
+                flipped[bit / 8] ^= 1 << (bit % 8);
+            }
+        }
+        let before = flipped.clone();
+        assert!(
+            !frame_verify_and_strip(&mut flipped),
+            "{len}-bit burst at bit {start} of {} escaped the CRC",
             buf.len() * 8
         );
         assert_eq!(flipped, before, "rejected frame must be left untouched");
