@@ -426,6 +426,18 @@ impl<M: Send + WireCodec + 'static> Mailbox<M> {
         self.end_record(hop);
     }
 
+    /// Count one payload the caller delivered to itself without queuing it
+    /// here (the visitor queue's local-first delivery): it advances both
+    /// end-to-end counters, so the quiescence balance is unchanged, and
+    /// pays the [`MailboxConfig::recv_cost_ns`] receive cost like any other
+    /// delivered payload.
+    #[inline]
+    pub fn count_local_delivery(&mut self) {
+        self.sent += 1;
+        self.received += 1;
+        spin_ns(self.recv_cost_ns);
+    }
+
     /// A fresh per-worker staging shard for this mailbox (see
     /// [`SendShard`]).
     pub fn make_shard(&self) -> SendShard<M> {
@@ -588,8 +600,8 @@ impl<M: Send + WireCodec + 'static> Mailbox<M> {
             delivered += self.process_frame(buf, out);
         }
         // network cost model: per-payload receive overhead (see
-        // `MailboxConfig::recv_cost_ns`); self-sends are charged too — the
-        // paper's queue pushes even local visitors through the mailbox
+        // `MailboxConfig::recv_cost_ns`); self-sends are charged too, as
+        // are the deliveries `count_local_delivery` records
         spin_ns(self.recv_cost_ns.saturating_mul(delivered as u64));
         delivered
     }

@@ -255,9 +255,10 @@ where
             deepest = deepest.max(d.length);
         }
     }
-    let visited_count = ctx.all_reduce_sum(visited);
-    let traversed_edges = ctx.all_reduce_sum(traversed);
-    let max_level = ctx.all_reduce_max(deepest);
+    let [visited_count, traversed_edges, max_level] = ctx
+        .all_reduce([visited, traversed, deepest], |a, b| {
+            [a[0].wrapping_add(b[0]), a[1].wrapping_add(b[1]), a[2].max(b[2])]
+        });
     let mut stats = q.stats();
     // Fold in this rank's storage-layer stalls and queue pressure
     // (semi-external storage only; all zeros for in-memory CSR).

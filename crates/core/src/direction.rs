@@ -397,11 +397,6 @@ pub fn direction_bfs(ctx: &RankCtx, g: &DistGraph, source: VertexId, cfg: &BfsCo
                 loc_mf += g.total_degree(v);
             }
         });
-        let n_f = ctx.all_reduce_sum(loc_nf);
-        if n_f == 0 {
-            break;
-        }
-        let m_f = ctx.all_reduce_sum(loc_mf);
         // unvisited edge mass, recomputed per level (restore-proof)
         let mut loc_mu = 0u64;
         for li in 0..nloc {
@@ -412,7 +407,10 @@ pub fn direction_bfs(ctx: &RankCtx, g: &DistGraph, source: VertexId, cfg: &BfsCo
                 }
             }
         }
-        let m_u = ctx.all_reduce_sum(loc_mu);
+        let [n_f, m_f, m_u] = all_reduce_sums(ctx, [loc_nf, loc_mf, loc_mu]);
+        if n_f == 0 {
+            break;
+        }
 
         // -- direction decision (pure function of all-reduced values) --
         dir = match dcfg.mode {
@@ -464,8 +462,7 @@ pub fn direction_bfs(ctx: &RankCtx, g: &DistGraph, source: VertexId, cfg: &BfsCo
             ),
             None => generate_serial(&mut q, g, dir, level, &frontier, &visited, &global_frontier),
         };
-        let inspected = ctx.all_reduce_sum(loc_inspected);
-        let candidates = ctx.all_reduce_sum(loc_pushed);
+        let [inspected, candidates] = all_reduce_sums(ctx, [loc_inspected, loc_pushed]);
         {
             let s = q.stats_mut();
             s.edges_inspected += loc_inspected;
@@ -496,6 +493,11 @@ pub fn direction_bfs(ctx: &RankCtx, g: &DistGraph, source: VertexId, cfg: &BfsCo
     result.stats.elapsed = result.elapsed;
     let edges_inspected = trace.iter().map(|t| t.inspected).sum();
     DirBfsRun { result, trace, edges_inspected }
+}
+
+/// Element-wise sum of `local` over all ranks in one collective.
+fn all_reduce_sums<const N: usize>(ctx: &RankCtx, local: [u64; N]) -> [u64; N] {
+    ctx.all_reduce(local, |a, b| std::array::from_fn(|i| a[i].wrapping_add(b[i])))
 }
 
 /// Fold round survivors into the bitmaps: the new frontier replaces the

@@ -3,11 +3,12 @@
 //! Each rank runs one queue instance:
 //!
 //! - `push(visitor)` — filter through locally stored ghost state, then send
-//!   to the target vertex's master partition (`min_owner`).
-//! - `check_mailbox()` — receive visitors, `pre_visit` them against local
-//!   state, queue survivors in the local priority heap, and forward them to
-//!   the next replica if the vertex's adjacency list continues on higher
-//!   ranks (the split-vertex chain of Figure 3).
+//!   to the target vertex's master partition (`min_owner`). A visitor whose
+//!   master is this rank skips the mailbox and is accepted in place.
+//! - `check_mailbox()` — receive visitors and accept each: `pre_visit` it
+//!   against local state, queue survivors in the local priority heap, and
+//!   forward them to the next replica if the vertex's adjacency list
+//!   continues on higher ranks (the split-vertex chain of Figure 3).
 //! - `do_traversal()` — the asynchronous driving loop: poll the mailbox,
 //!   execute locally queued visitors in priority order, and terminate when
 //!   the quiescence detector confirms the queue is globally empty.
@@ -109,13 +110,16 @@ pub struct TraversalStats {
     pub ghost_filtered: u64,
     /// Visitors forwarded along a split-vertex replica chain.
     pub replica_forwards: u64,
-    /// End-to-end payloads sent / received by the mailbox.
+    /// End-to-end payloads sent / received: every push that passed the
+    /// ghost filter plus every replica forward, counted once on each side.
+    /// A push to one of this rank's own masters is delivered in place
+    /// (local-first) and counts as both sent and received here.
     pub payload_sent: u64,
     pub payload_received: u64,
     /// Quiescence-detection waves completed.
     pub termination_waves: u64,
     /// Wire bytes shipped / unpacked by this rank's mailbox (frame headers
-    /// included; self-sends never hit the wire and are not counted).
+    /// included; local deliveries never hit the wire and are not counted).
     pub bytes_sent: u64,
     pub bytes_received: u64,
     /// Frames this rank shipped.
@@ -385,40 +389,34 @@ impl<'g, V: Visitor + WireCodec> VisitorQueue<'g, V> {
 
     /// Push a visitor into the distributed queue (Algorithm 1, `push`).
     pub fn push(&mut self, visitor: V) {
-        let Self { g, mailbox, ghosts, stats, .. } = self;
-        Pusher { g, mailbox, ghosts, stats }.push(visitor);
+        self.sink().push(visitor);
     }
 
-    /// Receive and pre-visit incoming visitors; returns payloads delivered
+    /// Split borrows of the queue for the push and accept paths.
+    fn sink(&mut self) -> Sink<'_, V> {
+        let Self { g, rank, mailbox, heap, state, ghosts, cfg, stats, arrival_seq, .. } = self;
+        Sink {
+            g,
+            rank: *rank,
+            locality_order: cfg.locality_order,
+            mailbox,
+            ghosts,
+            stats,
+            state,
+            heap,
+            arrival_seq,
+        }
+    }
+
+    /// Receive and accept incoming visitors; returns payloads delivered
     /// (Algorithm 1, `check_mailbox`).
     fn check_mailbox(&mut self) -> usize {
         let mut inbox = std::mem::take(&mut self.inbox);
         self.mailbox.poll(&mut inbox);
         let delivered = inbox.len();
+        let mut sink = self.sink();
         for visitor in inbox.drain(..) {
-            let v = visitor.vertex();
-            debug_assert!(
-                self.g.is_local(v),
-                "visitor for {v} delivered to wrong rank {}",
-                self.rank
-            );
-            let li = self.g.local_index(v);
-            let role = if self.g.min_owner(v) == self.rank { Role::Master } else { Role::Replica };
-            if visitor.pre_visit(&mut self.state[li], role) {
-                // forward along the replica chain before queuing locally so
-                // downstream partitions overlap with our local work
-                if self.rank < self.g.max_owner(v) {
-                    self.stats.replica_forwards += 1;
-                    self.mailbox.send(self.rank + 1, visitor.clone());
-                }
-                let tiebreak = if self.cfg.locality_order {
-                    v.0
-                } else {
-                    self.arrival_seq += 1;
-                    self.arrival_seq
-                };
-                self.heap.push(HeapEntry(visitor, tiebreak));
-            }
+            sink.accept(visitor);
         }
         self.inbox = inbox;
         delivered
@@ -515,20 +513,24 @@ impl<'g, V: Visitor + WireCodec> VisitorQueue<'g, V> {
 
     /// Inline executor: pop up to `poll_batch` (at most `left`) visitors and
     /// run each `visit` on this thread, pushing straight through the ghost
-    /// filter and the mailbox. Returns the number executed.
+    /// filter into the accept step or the mailbox. Returns the number
+    /// executed.
     fn run_inline(&mut self, left: usize) -> usize {
         let limit = self.cfg.poll_batch.min(left);
+        let mut sink = self.sink();
+        let g = sink.g;
         let mut executed = 0;
         while executed < limit {
-            let Some(HeapEntry(vis, _)) = self.heap.pop() else { break };
+            let Some(HeapEntry(vis, _)) = sink.heap.pop() else { break };
             executed += 1;
-            self.stats.visitors_executed += 1;
-            let li = self.g.local_index(vis.vertex());
-            // split borrows: vertex state vs. push path
-            let Self { g, mailbox, ghosts, state, stats, .. } = self;
-            let mut pusher = Pusher { g, mailbox, ghosts, stats };
-            vis.visit(g, &mut state[li], &mut pusher);
+            let li = g.local_index(vis.vertex());
+            // `visit` runs on a seed copy, as on the pool executor, so a
+            // local push may pre-visit any slot, this vertex's included
+            let mut seed = V::visit_seed(&sink.state[li]);
+            vis.visit(g, &mut seed, &mut sink);
+            V::merge(&mut sink.state[li], &seed);
         }
+        self.stats.visitors_executed += executed as u64;
         executed
     }
 
@@ -540,9 +542,9 @@ impl<'g, V: Visitor + WireCodec> VisitorQueue<'g, V> {
     /// which may block on semi-external page fills), and stage every push
     /// in a per-worker [`SendShard`]. After the pool quiesces the
     /// coordinator absorbs the shards in worker order through the exact
-    /// ghost-filter + mailbox path an inline push takes, so wire traffic,
-    /// ghost counters and termination accounting are identical in kind to
-    /// the inline executor's.
+    /// push path an inline push takes (ghost filter, then local accept or
+    /// mailbox), so wire traffic, ghost counters and termination accounting
+    /// are identical in kind to the inline executor's.
     fn run_chunk(&mut self, p: &mut PoolExec<V>, left: usize) -> usize {
         let PoolExec { pool, locks, ledgers, chunk, cap } = p;
         chunk.clear();
@@ -652,16 +654,15 @@ impl<'g, V: Visitor + WireCodec> VisitorQueue<'g, V> {
         self.quiescence.arm_watchdog(waves);
     }
 
-    /// Absorb a worker-staged shard of pushes through the ghost filter +
-    /// mailbox, in coordinator context, counting its `pushed` visitors (the
-    /// pool executor's chunks and the round engines' parallel passes).
+    /// Absorb a worker-staged shard of pushes through the push path (ghost
+    /// filter, then the accept step or the mailbox), in coordinator
+    /// context, counting its `pushed` visitors (the pool executor's chunks
+    /// and the round engines' parallel passes).
     pub(crate) fn absorb_shard(&mut self, shard: &mut SendShard<V>, pushed: u64) {
-        let Self { mailbox, ghosts, stats, .. } = self;
-        stats.visitors_pushed += pushed;
+        let mut sink = self.sink();
+        sink.stats.visitors_pushed += pushed;
         for (dst, visitor) in shard.drain() {
-            if ghost_pass::<V>(ghosts, stats, &visitor) {
-                mailbox.send(dst, visitor);
-            }
+            sink.route(dst, visitor);
         }
     }
 
@@ -864,42 +865,78 @@ impl<'g, V: Visitor + WireCodec> VisitorPush<V> for VisitorQueue<'g, V> {
     }
 }
 
-/// The ghost-filter stage of the push path: check the visitor against a
-/// local ghost slot if one exists, counting checks and suppressions.
-/// Returns whether the push should proceed to the mailbox. Runs only on
-/// the coordinator thread (the ghost table is not synchronized).
-fn ghost_pass<V: Visitor + WireCodec>(
-    ghosts: &mut GhostTable<V::Data>,
-    stats: &mut TraversalStats,
-    visitor: &V,
-) -> bool {
-    if V::GHOSTS_ALLOWED {
-        if let Some(gdata) = ghosts.get_mut(visitor.vertex()) {
-            stats.ghost_checked += 1;
-            if !visitor.pre_visit(gdata, Role::Ghost) {
-                stats.ghost_filtered += 1;
-                return false;
-            }
-        }
-    }
-    true
-}
-
-/// The push path, shared between the queue itself and the inline
-/// executor's in-`visit` pushes.
-struct Pusher<'a, V: Visitor + WireCodec> {
+/// The push and accept paths over split borrows of the queue, shared by
+/// `push`, the inline executor's in-`visit` pushes, shard absorption and
+/// `check_mailbox`. Runs only on the coordinator thread (the ghost table,
+/// the heap and the mailbox are not synchronized).
+struct Sink<'a, V: Visitor + WireCodec> {
     g: &'a DistGraph,
+    rank: usize,
+    locality_order: bool,
     mailbox: &'a mut Mailbox<V>,
     ghosts: &'a mut GhostTable<V::Data>,
     stats: &'a mut TraversalStats,
+    state: &'a mut [V::Data],
+    heap: &'a mut BinaryHeap<HeapEntry<V>>,
+    arrival_seq: &'a mut u64,
 }
 
-impl<'a, V: Visitor + WireCodec> VisitorPush<V> for Pusher<'a, V> {
+impl<'a, V: Visitor + WireCodec> Sink<'a, V> {
+    /// Send a pushed visitor toward its master `dst` (`min_owner`) unless
+    /// a local ghost slot rejects it. A visitor whose master is this rank
+    /// is accepted in place (local-first delivery): it never enters the
+    /// mailbox, but counts as one payload sent and received and pays the
+    /// receive cost model, so the payload counters mean the same whoever
+    /// the master is.
+    fn route(&mut self, dst: usize, visitor: V) {
+        if V::GHOSTS_ALLOWED {
+            if let Some(gdata) = self.ghosts.get_mut(visitor.vertex()) {
+                self.stats.ghost_checked += 1;
+                if !visitor.pre_visit(gdata, Role::Ghost) {
+                    self.stats.ghost_filtered += 1;
+                    return;
+                }
+            }
+        }
+        if dst == self.rank {
+            self.mailbox.count_local_delivery();
+            self.accept(visitor);
+        } else {
+            self.mailbox.send(dst, visitor);
+        }
+    }
+
+    /// Algorithm 1's receive step for one visitor delivered to this rank:
+    /// `pre_visit` it against local state (as master or replica), forward a
+    /// survivor down the replica chain, and queue it in the heap.
+    fn accept(&mut self, visitor: V) {
+        let v = visitor.vertex();
+        debug_assert!(self.g.is_local(v), "visitor for {v} delivered to wrong rank {}", self.rank);
+        let li = self.g.local_index(v);
+        let role = if self.g.min_owner(v) == self.rank { Role::Master } else { Role::Replica };
+        if !visitor.pre_visit(&mut self.state[li], role) {
+            return;
+        }
+        // forward along the replica chain before queuing locally so
+        // downstream partitions overlap with our local work
+        if self.rank < self.g.max_owner(v) {
+            self.stats.replica_forwards += 1;
+            self.mailbox.send(self.rank + 1, visitor.clone());
+        }
+        let tiebreak = if self.locality_order {
+            v.0
+        } else {
+            *self.arrival_seq += 1;
+            *self.arrival_seq
+        };
+        self.heap.push(HeapEntry(visitor, tiebreak));
+    }
+}
+
+impl<'a, V: Visitor + WireCodec> VisitorPush<V> for Sink<'a, V> {
     fn push(&mut self, visitor: V) {
         self.stats.visitors_pushed += 1;
-        if ghost_pass::<V>(self.ghosts, self.stats, &visitor) {
-            self.mailbox.send(self.g.min_owner(visitor.vertex()), visitor);
-        }
+        self.route(self.g.min_owner(visitor.vertex()), visitor);
     }
 }
 
@@ -970,8 +1007,8 @@ impl<C: Send + WireCodec + 'static> SideMailbox for (&mut Mailbox<C>, &mut Vec<C
 
 /// Worker-side pusher: resolves the destination rank immediately (the
 /// graph's ownership map is immutable and thread-safe) but defers the
-/// ghost filter and the mailbox — both single-threaded — to the
-/// coordinator's absorb pass.
+/// ghost filter, the accept step and the mailbox — all single-threaded —
+/// to the coordinator's absorb pass.
 struct ShardPusher<'a, V: Visitor + WireCodec> {
     g: &'a DistGraph,
     shard: &'a mut SendShard<V>,
@@ -1442,6 +1479,184 @@ mod tests {
             assert_eq!(marked, 64, "threads=4 resumed flood reaches whole ring (p={p})");
             assert_eq!(crashes, 1, "p={p}");
             assert_eq!(restores, p as u64, "p={p}");
+        }
+    }
+
+    /// Symmetric multigraph for the local-first delivery checks. Hub 80
+    /// is adjacent to every vertex below 120 and sits mid-range, so its
+    /// adjacency list crosses the middle rank boundary (split at p ≥ 2);
+    /// chords (i, i+1) for i ≡ 0 mod 3 close one triangle each with the
+    /// hub; a path 120..160 hangs off vertex 0 with every path edge
+    /// doubled; self-loops (some doubled) sit on the hub and on both
+    /// sides of the bridge. The doubled edges lie on the triangle-free
+    /// path, so every triangle has simple edges.
+    fn local_first_graph() -> (u64, Vec<Edge>) {
+        const N: u64 = 160;
+        const HUB: u64 = 80;
+        let mut und: Vec<(u64, u64)> = Vec::new();
+        und.extend((0..120).filter(|&v| v != HUB).map(|v| (v, HUB)));
+        und.extend((0..119).step_by(3).filter(|&i| i != HUB && i + 1 != HUB).map(|i| (i, i + 1)));
+        und.push((0, 120));
+        for j in 120..N - 1 {
+            und.extend([(j, j + 1), (j, j + 1)]);
+        }
+        let mut edges: Vec<Edge> =
+            und.iter().flat_map(|&(a, b)| [Edge::new(a, b), Edge::new(b, a)]).collect();
+        for v in [HUB, HUB, 5, 120, 130, 130, N - 1] {
+            edges.push(Edge::new(v, v));
+        }
+        (N, edges)
+    }
+
+    /// Serial oracles over the same edge list: BFS levels from `source`,
+    /// the k-core survivors (a vertex's degree counts every adjacency entry,
+    /// duplicates and self-loops included, as the distributed kernel's
+    /// `total_degree` does), and the triangle count.
+    fn serial_adjacency(n: u64, edges: &[Edge]) -> Vec<Vec<u64>> {
+        let mut adj = vec![Vec::new(); n as usize];
+        for e in edges {
+            adj[e.src as usize].push(e.dst);
+        }
+        adj
+    }
+
+    fn serial_levels(adj: &[Vec<u64>], source: u64) -> Vec<u64> {
+        let mut level = vec![crate::algorithms::bfs::UNREACHED; adj.len()];
+        level[source as usize] = 0;
+        let mut frontier = vec![source];
+        while !frontier.is_empty() {
+            let mut next = Vec::new();
+            for &v in &frontier {
+                for &t in &adj[v as usize] {
+                    if level[t as usize] == crate::algorithms::bfs::UNREACHED {
+                        level[t as usize] = level[v as usize] + 1;
+                        next.push(t);
+                    }
+                }
+            }
+            frontier = next;
+        }
+        level
+    }
+
+    fn serial_kcore(adj: &[Vec<u64>], k: u64) -> Vec<bool> {
+        let mut degree: Vec<u64> = adj.iter().map(|a| a.len() as u64).collect();
+        let mut alive = vec![true; adj.len()];
+        let mut dying: Vec<usize> = (0..adj.len()).filter(|&v| degree[v] < k).collect();
+        for &v in &dying {
+            alive[v] = false;
+        }
+        while let Some(v) = dying.pop() {
+            for &t in &adj[v] {
+                let t = t as usize;
+                if alive[t] {
+                    degree[t] -= 1;
+                    if degree[t] < k {
+                        alive[t] = false;
+                        dying.push(t);
+                    }
+                }
+            }
+        }
+        alive
+    }
+
+    fn serial_triangles(adj: &[Vec<u64>]) -> u64 {
+        let sets: Vec<std::collections::BTreeSet<u64>> =
+            adj.iter().map(|a| a.iter().copied().collect()).collect();
+        let mut count = 0;
+        for (u, nu) in sets.iter().enumerate() {
+            for &v in nu.range(u as u64 + 1..) {
+                count += sets[v as usize].range(v + 1..).filter(|w| nu.contains(w)).count() as u64;
+            }
+        }
+        count
+    }
+
+    /// Every payload is counted once when sent and once when received, and
+    /// the payloads are exactly the pushes that passed the ghost filter
+    /// plus the replica forwards — local-first deliveries included.
+    fn assert_payloads_conserved(ctx: &RankCtx, s: &TraversalStats, what: &str) {
+        let sent = ctx.all_reduce_sum(s.payload_sent);
+        let received = ctx.all_reduce_sum(s.payload_received);
+        let routed = ctx.all_reduce_sum(s.visitors_pushed - s.ghost_filtered + s.replica_forwards);
+        assert_eq!(sent, received, "{what}: payloads sent vs received");
+        assert_eq!(sent, routed, "{what}: payloads vs pushes - filtered + forwards");
+    }
+
+    /// Local-first delivery (a push to one of this rank's own masters is
+    /// accepted in place) gives the serial oracles' BFS levels, k-cores and
+    /// triangle count on a multigraph with self-loops and a split hub, on
+    /// ranks {1, 2, 4} x threads {1, 4}, and keeps the payload counters
+    /// conserved.
+    #[test]
+    fn local_first_delivery_matches_serial_oracles() {
+        use crate::algorithms::bfs::{bfs, BfsConfig};
+        use crate::algorithms::kcore::{kcore, KCoreConfig};
+        use crate::algorithms::triangle::{triangle_count, TriangleConfig};
+        let (n, edges) = local_first_graph();
+        let adj = serial_adjacency(n, &edges);
+        let sources = [80u64, 159];
+        let levels: Vec<Vec<u64>> = sources.iter().map(|&s| serial_levels(&adj, s)).collect();
+        let kvals = [2u64, 3, 4];
+        let cores: Vec<Vec<bool>> = kvals.iter().map(|&k| serial_kcore(&adj, k)).collect();
+        let triangles = serial_triangles(&adj);
+        assert_eq!(triangles, 40, "the chords close one triangle each");
+        let gcfg = GraphConfig {
+            dedup: false,
+            remove_self_loops: false,
+            num_vertices: Some(n),
+            ..GraphConfig::default()
+        };
+        for p in [1usize, 2, 4] {
+            for threads in [1usize, 4] {
+                let tag = format!("p={p} threads={threads}");
+                let traversal = TraversalConfig::default().with_threads(threads);
+                CommWorld::run(p, |ctx| {
+                    let g =
+                        DistGraph::build_replicated(ctx, &edges, PartitionStrategy::EdgeList, gcfg);
+                    if p > 1 {
+                        assert_ne!(
+                            g.min_owner(VertexId(80)),
+                            g.max_owner(VertexId(80)),
+                            "hub split"
+                        );
+                    }
+                    let masters: Vec<VertexId> =
+                        g.local_vertices().filter(|&v| g.is_master(v)).collect();
+                    for (&source, want) in sources.iter().zip(&levels) {
+                        let cfg = BfsConfig { traversal, checkpoint: None };
+                        let r = bfs(ctx, &g, VertexId(source), &cfg);
+                        for &v in &masters {
+                            let got = r.local_state[g.local_index(v)].length;
+                            assert_eq!(
+                                got, want[v.0 as usize],
+                                "{tag}: BFS from {source}, level of {v}"
+                            );
+                        }
+                        assert_payloads_conserved(
+                            ctx,
+                            &r.stats,
+                            &format!("{tag}: BFS from {source}"),
+                        );
+                    }
+                    for (&k, want) in kvals.iter().zip(&cores) {
+                        let r = kcore(ctx, &g, k, &KCoreConfig { traversal, checkpoint: None });
+                        for &v in &masters {
+                            let got = r.local_state[g.local_index(v)].alive;
+                            assert_eq!(
+                                got, want[v.0 as usize],
+                                "{tag}: {k}-core membership of {v}"
+                            );
+                        }
+                        assert_payloads_conserved(ctx, &r.stats, &format!("{tag}: {k}-core"));
+                    }
+                    let r =
+                        triangle_count(ctx, &g, &TriangleConfig { traversal, checkpoint: None });
+                    assert_eq!(r.triangles, triangles, "{tag}: triangles");
+                    assert_payloads_conserved(ctx, &r.stats, &format!("{tag}: triangles"));
+                });
+            }
         }
     }
 

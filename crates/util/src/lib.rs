@@ -11,8 +11,9 @@
 //!   (I/O queue depths, frame fills) with exact mean/max tracking.
 //! - [`testing`]: a deterministic property-test harness (seeded cases +
 //!   a small PRNG) replacing proptest for the invariant suites.
-//! - [`crc`]: slice-by-16 table-driven CRC-32 shared by the wire frames
-//!   and the page cache's per-page write-back checksums.
+//! - [`crc`]: the CRC-32 shared by the wire frames and the page cache's
+//!   per-page write-back checksums, a carry-less-multiply folding kernel
+//!   with a slice-by-16 fallback.
 //! - [`parallel`]: a scoped worker pool, atomic bitmap, and per-worker
 //!   cells backing the intra-rank parallel traversal (DESIGN.md §11).
 
